@@ -3,7 +3,7 @@ GO ?= go
 # stable numbers, lower it for a quick smoke pass.
 BENCHTIME ?= 0.2s
 
-.PHONY: all build vet test race bench bench-json bench-diff experiments docs-check examples-smoke chaos fuzz-smoke clean
+.PHONY: all build vet test race stress bench bench-json bench-diff experiments docs-check examples-smoke chaos fuzz-smoke clean
 
 all: vet build test docs-check
 
@@ -18,6 +18,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Concurrency stress: 50 race-detector runs of the packages whose tests
+# race goroutines against each other — the retry queue's at-most-once
+# flush, the delivery pipeline, the replication stream, the shared ring
+# behind the trace and logging planes, and server assembly. A flake here
+# is a defect to fix at its source. CI runs this as the stress job.
+stress:
+	$(GO) test -race -count=50 ./internal/queue/ ./internal/delivery/ ./internal/replica/ ./internal/trace/ ./internal/logging/ ./internal/ring/ ./internal/node/
 
 bench:
 	$(GO) test -bench=. -benchmem .

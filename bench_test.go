@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 	"testing"
 	"time"
 
@@ -785,22 +786,36 @@ func BenchmarkTraceOverhead(b *testing.B) {
 }
 
 // TestTraceDisabledOverhead is the E17 acceptance assertion: a tracer
-// installed with sampling disabled adds at most 2% to the publish path
-// versus no tracer at all. The two configurations run strictly interleaved
-// batches against long-lived services and compare best-batch times, so
-// clock-frequency drift, GC phase and scheduler noise hit both sides
-// equally instead of deciding the verdict; a small absolute floor absorbs
-// timer granularity.
+// installed with sampling disabled costs the publish path nothing in
+// allocations and at most 2% in time versus no tracer at all.
 func TestTraceDisabledOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("micro-benchmark comparison; skipped in -short mode")
-	}
+	overheadGate(t, "sampling-disabled tracer", func(c *core.Config) {
+		c.Tracer = traceBenchConfigs[1].mk()
+	})
+}
+
+// overheadGate pins a disabled plane against its absence on the
+// publish→match→deliver path of one server. Two long-lived harnesses
+// publish the same event stream: "off" with no plane, "disabled" with
+// install applied to its config.
+//
+//   - Exact gate: allocations per publish (deterministic) are equal.
+//   - Wall-clock gate: the median per-publish time of the disabled side is
+//     within 2% of off's plus a 150 ns floor for timer granularity. The
+//     two harnesses run many short blocks strictly interleaved, the one
+//     going first alternating, so machine drift, GC and the other side's
+//     background delivery work land on both alike; the medians shed the
+//     blocks a preemption or GC cycle hit. The allocation gate covers what
+//     a median cannot see (garbage paid for at collection time). With
+//     both harnesses plane-free the comparison must pass (A/A).
+func overheadGate(t *testing.T, plane string, install func(*core.Config)) {
+	t.Helper()
 	if raceEnabled {
-		t.Skip("race-detector instrumentation swamps the 2% bar; run without -race")
+		t.Skip("race-detector instrumentation (and its sync.Pool randomisation) swamps both gates; run without -race")
 	}
 	const (
-		rounds    = 8
-		batch     = 2000
+		blocks    = 500
+		block     = 16
 		floorNs   = 150.0
 		tolerance = 1.02
 	)
@@ -810,12 +825,12 @@ func TestTraceDisabledOverhead(t *testing.T) {
 		seq  int
 		name string
 	}
-	setup := func(name string, mk func() *trace.Tracer) *harness {
+	setup := func(name string, install func(*core.Config)) *harness {
 		tr := transport.NewMemory(6)
 		t.Cleanup(func() { tr.Close() })
-		svc, err := core.New(core.Config{
-			ServerName: name, ServerAddr: "gs://" + name, Transport: tr, Tracer: mk(),
-		})
+		cfg := core.Config{ServerName: name, ServerAddr: "gs://" + name, Transport: tr}
+		install(&cfg)
+		svc, err := core.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -826,41 +841,66 @@ func TestTraceDisabledOverhead(t *testing.T) {
 		svc.RegisterNotifier("u", core.NotifierFunc(func(core.Notification) {}))
 		return &harness{svc: svc, name: name}
 	}
-	runBatch := func(h *harness) float64 {
-		start := time.Now()
-		for i := 0; i < batch; i++ {
-			h.seq++
-			ev := event.New(fmt.Sprintf("ovh-%s-%d", h.name, h.seq), event.TypeDocumentsAdded,
-				event.QName{Host: h.name, Collection: "C"}, 1, nil, eventTime())
-			if _, err := h.svc.PublishBuild(ctx, &collection.BuildResult{Events: []*event.Event{ev}}); err != nil {
-				t.Fatal(err)
-			}
+	publish := func(h *harness) {
+		h.seq++
+		ev := event.New(fmt.Sprintf("ovh-%s-%d", h.name, h.seq), event.TypeDocumentsAdded,
+			event.QName{Host: h.name, Collection: "C"}, 1, nil, eventTime())
+		if _, err := h.svc.PublishBuild(ctx, &collection.BuildResult{Events: []*event.Event{ev}}); err != nil {
+			t.Fatal(err)
 		}
-		elapsed := time.Since(start)
+	}
+	drain := func(h *harness) {
 		if err := h.svc.DrainDeliveries(ctx); err != nil {
 			t.Fatal(err)
 		}
-		return float64(elapsed.Nanoseconds()) / batch
 	}
-	off := setup("P", traceBenchConfigs[0].mk)
-	disabled := setup("Q", traceBenchConfigs[1].mk)
-	runBatch(off) // warm-up both paths before measuring
-	runBatch(disabled)
-	best := func(cur, v float64) float64 {
-		if cur == 0 || v < cur {
-			return v
+	off := setup("P", func(*core.Config) {})
+	disabled := setup("Q", install)
+
+	allocs := func(h *harness) float64 {
+		return testing.AllocsPerRun(200, func() { publish(h); drain(h) })
+	}
+	offAllocs, disAllocs := allocs(off), allocs(disabled)
+	t.Logf("allocs per publish: off %.0f, %s %.0f", offAllocs, plane, disAllocs)
+	if disAllocs != offAllocs {
+		t.Errorf("%s allocates %.0f per publish, off %.0f: a disabled plane must allocate nothing", plane, disAllocs, offAllocs)
+	}
+
+	if testing.Short() {
+		t.Skip("wall-clock comparison skipped in -short mode")
+	}
+	runBlock := func(h *harness) float64 {
+		start := time.Now()
+		for i := 0; i < block; i++ {
+			publish(h)
 		}
-		return cur
+		return float64(time.Since(start).Nanoseconds()) / block
 	}
-	var offBest, disBest float64
-	for i := 0; i < rounds; i++ {
-		offBest = best(offBest, runBatch(off))
-		disBest = best(disBest, runBatch(disabled))
+	median := func(xs []float64) float64 {
+		sort.Float64s(xs)
+		return xs[len(xs)/2]
 	}
-	limit := offBest*tolerance + floorNs
-	t.Logf("publish path: off %.0fns/op, sampling-disabled %.0fns/op (limit %.0f)", offBest, disBest, limit)
-	if disBest > limit {
-		t.Errorf("sampling-disabled publish path %.0fns/op exceeds off %.0fns/op by more than 2%%", disBest, offBest)
+	for i := 0; i < blocks/10; i++ { // warm-up both paths before measuring
+		runBlock(off)
+		runBlock(disabled)
+	}
+	offNs, disNs := make([]float64, 0, blocks), make([]float64, 0, blocks)
+	for i := 0; i < blocks; i++ {
+		if i%2 == 0 {
+			offNs = append(offNs, runBlock(off))
+			disNs = append(disNs, runBlock(disabled))
+		} else {
+			disNs = append(disNs, runBlock(disabled))
+			offNs = append(offNs, runBlock(off))
+		}
+	}
+	drain(off)
+	drain(disabled)
+	offMed, disMed := median(offNs), median(disNs)
+	limit := offMed*tolerance + floorNs
+	t.Logf("publish path medians: off %.0fns/op, %s %.0fns/op (limit %.0f)", offMed, plane, disMed, limit)
+	if disMed > limit {
+		t.Errorf("%s publish path %.0fns/op exceeds off %.0fns/op by more than 2%%", plane, disMed, offMed)
 	}
 }
 
@@ -1029,82 +1069,12 @@ func BenchmarkExemplarObserve(b *testing.B) {
 
 // TestLogDisabledOverhead is the E19 acceptance assertion, the logging
 // twin of TestTraceDisabledOverhead: a structured logger installed with
-// the publish-path sites below the effective level adds at most 2% to the
-// publish path versus no logger at all. Strictly interleaved batches and
-// best-batch comparison for the same reasons as the trace pin.
+// the publish-path sites below the effective level costs the publish path
+// nothing in allocations and at most 2% in time versus no logger at all.
 func TestLogDisabledOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("micro-benchmark comparison; skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("race-detector instrumentation swamps the 2% bar; run without -race")
-	}
-	const (
-		rounds    = 8
-		batch     = 2000
-		floorNs   = 150.0
-		tolerance = 1.02
-	)
-	ctx := context.Background()
-	type harness struct {
-		svc  *core.Service
-		seq  int
-		name string
-	}
-	setup := func(name string, lg *logging.Logger) *harness {
-		tr := transport.NewMemory(6)
-		t.Cleanup(func() { tr.Close() })
-		svc, err := core.New(core.Config{
-			ServerName: name, ServerAddr: "gs://" + name, Transport: tr, Log: lg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { svc.Close() })
-		if _, err := svc.Subscribe("u", profile.MustParse(`collection = "`+name+`.C"`)); err != nil {
-			t.Fatal(err)
-		}
-		svc.RegisterNotifier("u", core.NotifierFunc(func(core.Notification) {}))
-		return &harness{svc: svc, name: name}
-	}
-	runBatch := func(h *harness) float64 {
-		start := time.Now()
-		for i := 0; i < batch; i++ {
-			h.seq++
-			ev := event.New(fmt.Sprintf("lov-%s-%d", h.name, h.seq), event.TypeDocumentsAdded,
-				event.QName{Host: h.name, Collection: "C"}, 1, nil, eventTime())
-			if _, err := h.svc.PublishBuild(ctx, &collection.BuildResult{Events: []*event.Event{ev}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		elapsed := time.Since(start)
-		if err := h.svc.DrainDeliveries(ctx); err != nil {
-			t.Fatal(err)
-		}
-		return float64(elapsed.Nanoseconds()) / batch
-	}
 	// The installed logger sits at info; every publish-path site logs at
 	// debug, so the measured cost is the level gate alone — the posture
 	// every production deployment runs in.
 	rec := logging.NewRecorder(logging.Config{Level: logging.LevelInfo})
-	off := setup("P", nil)
-	disabled := setup("Q", rec.For("core"))
-	runBatch(off) // warm-up both paths before measuring
-	runBatch(disabled)
-	best := func(cur, v float64) float64 {
-		if cur == 0 || v < cur {
-			return v
-		}
-		return cur
-	}
-	var offBest, disBest float64
-	for i := 0; i < rounds; i++ {
-		offBest = best(offBest, runBatch(off))
-		disBest = best(disBest, runBatch(disabled))
-	}
-	limit := offBest*tolerance + floorNs
-	t.Logf("publish path: no logger %.0fns/op, logging-disabled %.0fns/op (limit %.0f)", offBest, disBest, limit)
-	if disBest > limit {
-		t.Errorf("logging-disabled publish path %.0fns/op exceeds no-logger %.0fns/op by more than 2%%", disBest, offBest)
-	}
+	overheadGate(t, "below-level logger", func(c *core.Config) { c.Log = rec.For("core") })
 }

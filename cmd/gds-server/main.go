@@ -22,10 +22,8 @@ import (
 
 	"github.com/gsalert/gsalert/internal/event"
 	"github.com/gsalert/gsalert/internal/gds"
-	"github.com/gsalert/gsalert/internal/health"
-	"github.com/gsalert/gsalert/internal/logging"
+	"github.com/gsalert/gsalert/internal/node"
 	"github.com/gsalert/gsalert/internal/obs"
-	"github.com/gsalert/gsalert/internal/trace"
 	"github.com/gsalert/gsalert/internal/transport"
 )
 
@@ -42,163 +40,65 @@ func run() int {
 		parentAddr = flag.String("parent-addr", "", "parent node address (non-root nodes)")
 		dedupCap   = flag.Int("dedup-capacity", event.DefaultDedupCapacity, "message-ID dedup window (IDs remembered); larger windows cost ~100 B per ID but tolerate longer broadcast echo delays, smaller ones risk relaying late duplicates")
 
-		// Observability knobs (internal/obs, docs/OBSERVABILITY.md).
-		metricsAddr  = flag.String("metrics-addr", "", "serve the Prometheus metric catalog over HTTP at this address (GET /metrics, plus the node snapshot as JSON at GET /stats); empty disables")
-		pushURL      = flag.String("metrics-push-url", "", "push gzip'd Prometheus snapshots to this HTTP sink; empty disables")
-		pushInterval = flag.Duration("metrics-push-interval", 15*time.Second, "interval between pushed metric snapshots")
-		pushMaxBps   = flag.Int("metrics-push-max-bps", 0, "bandwidth cap for pushed snapshots in compressed bytes/sec; 0 = unlimited")
-
-		// Tracing knobs (internal/trace, docs/TRACING.md). A directory node
-		// never samples — it records route-hop spans for contexts the origin
-		// server already sampled — so the only decisions here are on/off and
-		// ring size.
-		traceOn  = flag.Bool("trace", false, "record route-hop spans for sampled events passing through this node, served at GET /traces on the metrics endpoint")
-		traceCap = flag.Int("trace-capacity", trace.DefaultCapacity, "span slots in the in-memory trace ring (drop-oldest)")
-		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the metrics endpoint (docs/OBSERVABILITY.md)")
-
-		// Structured-logging knobs (internal/logging, docs/LOGGING.md).
-		logLevel  = flag.String("log-level", "info", "minimum structured-log level kept: debug, info, warn, error or off")
-		logRing   = flag.Int("log-ring", logging.DefaultRingSize, "per-component flight-ring capacity in records (drop-oldest)")
-		flightDir = flag.String("flight-dir", "", "directory for post-mortem flight bundles written when a health rule turns critical; empty keeps captures on-demand only (GET /debug/flightrecorder)")
-
-		// Health-plane knobs (internal/health, docs/HEALTH.md). A directory
-		// node has no pipeline to dogfood meta-alerts into, so the plane here
-		// is /healthz + /readyz + ALERTS series only.
-		healthOn    = flag.Bool("health", false, "evaluate health rules against the node registry and serve /healthz + /readyz on the metrics endpoint; implied by -health-rules")
-		healthRules = flag.String("health-rules", "", "health rule file (docs/HEALTH.md grammar); empty = built-in defaults")
-		healthTick  = flag.Duration("health-tick", 10*time.Second, "health rule evaluation cadence")
+		// The ops flags shared with gs-server come from
+		// node.OpsConfig.BindFlags. A directory node never samples — it
+		// records route-hop spans for contexts the origin server already
+		// sampled — so its only tracing decisions are on/off (-trace) and
+		// ring size (-trace-capacity). It has no pipeline to dogfood
+		// meta-alerts into, so its health plane is /healthz + /readyz +
+		// ALERTS series only.
+		traceOn = flag.Bool("trace", false, "record route-hop spans for sampled events passing through this node, served at GET /traces on the metrics endpoint")
 	)
+	var opsCfg node.OpsConfig
+	opsCfg.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	tr := transport.NewHTTP()
 	defer func() { _ = tr.Close() }()
 
-	node, err := gds.NewNode(*id, *addr, *stratum, tr)
+	n, err := gds.NewNode(*id, *addr, *stratum, tr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gds-server: %v\n", err)
 		return 1
 	}
-	defer func() { _ = node.Close() }()
+	defer func() { _ = n.Close() }()
 	if *dedupCap != event.DefaultDedupCapacity {
-		node.SetDedupCapacity(*dedupCap)
+		n.SetDedupCapacity(*dedupCap)
 	}
 
-	logLvl, err := logging.ParseLevel(*logLevel)
+	opsCfg.Prog, opsCfg.ID, opsCfg.Trace = "gds-server", *id, *traceOn
+	ops, err := node.NewOps(opsCfg, tr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gds-server: %v\n", err)
 		return 1
 	}
-	rec := logging.NewRecorder(logging.Config{Level: logLvl, RingSize: *logRing, Sink: os.Stderr})
-	node.SetLog(rec.For("gds"))
-
-	var tracer *trace.Tracer
-	if *traceOn {
-		tracer = trace.New(trace.Config{
-			Service:   *id,
-			Collector: trace.NewCollector(*traceCap),
-		})
-		node.SetTracer(tracer)
+	n.SetLog(ops.Log.For("gds"))
+	if ops.Tracer != nil {
+		n.SetTracer(ops.Tracer)
 	}
 
-	// Observability: the node's dissemination counters, per-link digest
-	// tables and transport wire counters, scrapeable and/or pushed.
-	reg := obs.NewRegistry()
-	obs.RegisterGDSNode(reg, node)
-	obs.RegisterHTTPTransport(reg, tr)
-	obs.RegisterGoRuntime(reg)
-	obs.RegisterLogging(reg, rec)
-	fcfg := logging.FlightConfig{Recorder: rec, Dir: *flightDir, Stats: func() any { return node.Snapshot() }}
-	var opts []obs.ServeOption
-	if tracer.Enabled() {
-		obs.RegisterTrace(reg, tracer.Collector())
-		opts = append(opts, obs.WithTraces(tracer.Collector()))
-		col := tracer.Collector()
-		fcfg.TraceIDs = func() []string {
-			traces := col.Traces(trace.Filter{})
-			ids := make([]string, 0, len(traces))
-			for _, t := range traces {
-				ids = append(ids, t.TraceID)
-			}
-			return ids
-		}
-	}
-	flight := logging.NewFlightRecorder(fcfg)
-	obs.RegisterFlight(reg, flight)
-	opts = append(opts, obs.WithFlightRecorder(flight))
-	if *pprofOn {
-		opts = append(opts, obs.WithPprof())
-	}
-	if *healthRules != "" {
-		*healthOn = true
-	}
+	// Observability: the node's dissemination counters and per-link digest
+	// tables join the process-wide series, scrapeable and/or pushed.
+	obs.RegisterGDSNode(ops.Registry, n)
 	var parentAttached atomic.Bool
-	if *healthOn {
-		rules := health.DefaultRules()
-		if *healthRules != "" {
-			raw, err := os.ReadFile(*healthRules)
-			if err == nil {
-				rules, err = health.ParseRules(string(raw))
+	checks := []node.Check{{Name: "node", Ready: func() error { return nil }}}
+	if *parentAddr != "" {
+		checks = append(checks, node.Check{Name: "parent-attached", Ready: func() error {
+			if !parentAttached.Load() {
+				return errors.New("not attached to parent " + *parentID)
 			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gds-server: health rules: %v\n", err)
-				return 1
-			}
-		}
-		hopts := health.Options{Log: rec.For("health")}
-		if *flightDir != "" {
-			hopts.OnTransition = func(tr health.Transition) {
-				if tr.To != health.Critical {
-					return
-				}
-				if path, err := flight.DumpToDir("critical:" + tr.Component); err != nil {
-					fmt.Fprintf(os.Stderr, "gds-server: flight dump: %v\n", err)
-				} else {
-					fmt.Printf("gds-server %s flight bundle captured: %s\n", *id, path)
-				}
-			}
-		}
-		eng := health.NewEngine(reg, rules, hopts)
-		eng.Register(reg)
-		eng.AddReadiness("node", func() error { return nil })
-		if *parentAddr != "" {
-			eng.AddReadiness("parent-attached", func() error {
-				if !parentAttached.Load() {
-					return errors.New("not attached to parent " + *parentID)
-				}
-				return nil
-			})
-		}
-		eng.Start(*healthTick)
-		defer eng.Close()
-		opts = append(opts, health.Endpoints(eng))
-		fmt.Printf("gds-server %s health plane on (%d rules, tick %s)\n", *id, len(rules.Rules), *healthTick)
+			return nil
+		}})
 	}
-	if *metricsAddr != "" {
-		closeOps, err := obs.ServeOps(*metricsAddr, reg, func() any { return node.Snapshot() }, opts...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gds-server: metrics server: %v\n", err)
-			return 1
-		}
-		defer closeOps()
-		fmt.Printf("gds-server %s serving http://%s/metrics\n", *id, *metricsAddr)
+	if err := ops.Start(func() any { return n.Snapshot() }, nil, checks...); err != nil {
+		fmt.Fprintf(os.Stderr, "gds-server: %v\n", err)
+		return 1
 	}
-	if *pushURL != "" {
-		exp, err := obs.NewExporter(reg, obs.ExporterConfig{
-			URL:            *pushURL,
-			Interval:       *pushInterval,
-			MaxBytesPerSec: *pushMaxBps,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gds-server: metrics exporter: %v\n", err)
-			return 1
-		}
-		defer exp.Close()
-		fmt.Printf("gds-server %s pushing metrics to %s every %s\n", *id, *pushURL, *pushInterval)
-	}
+	defer ops.Close()
 
 	if *parentAddr != "" {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := node.AttachToParent(ctx, *parentID, *parentAddr)
+		err := n.AttachToParent(ctx, *parentID, *parentAddr)
 		cancel()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gds-server: attach to parent: %v\n", err)

@@ -17,14 +17,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -32,15 +30,12 @@ import (
 	"github.com/gsalert/gsalert/internal/core"
 	"github.com/gsalert/gsalert/internal/delivery"
 	"github.com/gsalert/gsalert/internal/event"
-	"github.com/gsalert/gsalert/internal/gds"
 	"github.com/gsalert/gsalert/internal/greenstone"
 	"github.com/gsalert/gsalert/internal/health"
-	"github.com/gsalert/gsalert/internal/logging"
+	"github.com/gsalert/gsalert/internal/node"
 	"github.com/gsalert/gsalert/internal/obs"
 	"github.com/gsalert/gsalert/internal/protocol"
 	"github.com/gsalert/gsalert/internal/qos"
-	"github.com/gsalert/gsalert/internal/replica"
-	"github.com/gsalert/gsalert/internal/trace"
 	"github.com/gsalert/gsalert/internal/transport"
 )
 
@@ -85,41 +80,22 @@ func run() int {
 		replicaOf   = flag.String("replica-of", "", "run as standby of the primary whose replication endpoint is this address (requires -replica-listen); the server inherits -name, stays unregistered and passive, and serves only after promotion")
 		promoteAddr = flag.String("promote", "", "one-shot: order the standby at this replication endpoint to promote to serving primary, then exit")
 
-		// Observability knobs (internal/obs, docs/OBSERVABILITY.md).
-		statsAddr    = flag.String("stats-addr", "", "serve ServiceStats (including the Replica* fields) as JSON over HTTP at this address (GET /stats; GET /metrics serves the same catalog as Prometheus text); empty disables")
-		metricsAddr  = flag.String("metrics-addr", "", "serve the Prometheus metric catalog over HTTP at this address (GET /metrics, plus the JSON GET /stats); empty disables")
-		pushURL      = flag.String("metrics-push-url", "", "push gzip'd Prometheus snapshots to this HTTP sink (e.g. a VictoriaMetrics import endpoint); empty disables")
-		pushInterval = flag.Duration("metrics-push-interval", 15*time.Second, "interval between pushed metric snapshots")
-		pushMaxBps   = flag.Int("metrics-push-max-bps", 0, "bandwidth cap for pushed snapshots in compressed bytes/sec; 0 = unlimited")
-
-		// Tracing knobs (internal/trace, docs/TRACING.md).
+		// Tracing, logging and health knobs beyond the shared ops flags
+		// (node.OpsConfig.BindFlags; docs/TRACING.md, docs/LOGGING.md,
+		// docs/HEALTH.md).
 		traceSample = flag.Float64("trace-sample", 0, "head-sampling rate for end-to-end event traces in [0,1]: fraction of publishes recorded as span trees, served at GET /traces on the ops endpoint; 0 disables (with -trace-slow 0)")
 		traceSlow   = flag.Duration("trace-slow", 0, "tail-retain threshold: publish roots slower than this are traced even when head sampling passed them over; 0 disables tail retention")
-		traceCap    = flag.Int("trace-capacity", trace.DefaultCapacity, "span slots in the in-memory trace ring (drop-oldest)")
-		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the ops endpoint (docs/OBSERVABILITY.md)")
-
-		// Structured-logging knobs (internal/logging, docs/LOGGING.md).
-		logLevel  = flag.String("log-level", "info", "minimum structured-log level kept: debug, info, warn, error or off; kept records land in the per-component flight rings and (rate-limited) on stderr")
-		logRing   = flag.Int("log-ring", logging.DefaultRingSize, "per-component flight-ring capacity in records (drop-oldest)")
-		logRate   = flag.Float64("log-stderr-rate", 50, "per-component stderr lines/sec cap (token bucket; suppressed lines stay ring-retained, counted in gsalert_logging_suppressed_total); 0 disables the limiter")
-		flightDir = flag.String("flight-dir", "", "directory for post-mortem flight bundles: each health transition into critical writes one JSONL bundle here; empty keeps captures on-demand only (GET /debug/flightrecorder, gs-client logs)")
-
-		// Health-plane knobs (internal/health, docs/HEALTH.md).
-		healthOn    = flag.Bool("health", false, "enable the self-alerting health plane: SLO rules evaluated against the local metric registry, /healthz + /readyz on the ops endpoint, ALERTS series, and meta-alert events published into the pipeline; implied by -health-rules")
-		healthRules = flag.String("health-rules", "", "health rule file (docs/HEALTH.md grammar); empty = the built-in E15/E16-signature defaults")
-		healthTick  = flag.Duration("health-tick", 10*time.Second, "health rule evaluation cadence (scrape-like pull; zero hot-path cost)")
+		logRate     = flag.Float64("log-stderr-rate", 50, "per-component stderr lines/sec cap (token bucket; suppressed lines stay ring-retained, counted in gsalert_logging_suppressed_total); 0 disables the limiter")
 		healthMeta  = flag.Bool("health-alerts", true, "publish each health state transition as a health-alert event into the pipeline (the dogfood; subscribe with event.type = \"health-alert\")")
 		readyGDS    = flag.Bool("ready-gds", true, "gate /readyz on successful GDS registration (serving roles only)")
 		readyRepl   = flag.Bool("ready-standby", true, "on a standby, gate /readyz on being snapshot-synced with a reachable primary (promotion flips the gate to serving-side checks)")
 	)
+	var opsCfg node.OpsConfig
+	opsCfg.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *promoteAddr != "" {
 		return runPromote(*promoteAddr)
-	}
-	if *replicaOf != "" && *replListen == "" {
-		fmt.Fprintln(os.Stderr, "gs-server: -replica-of requires -replica-listen")
-		return 1
 	}
 
 	mode, err := core.ParseRoutingMode(*routing)
@@ -148,55 +124,13 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "gs-server: %v\n", err)
 		return 1
 	}
-	logLvl, err := logging.ParseLevel(*logLevel)
+	opsCfg.Prog, opsCfg.ID = "gs-server", *name
+	opsCfg.Trace = *traceSample > 0 || *traceSlow > 0
+	opsCfg.TraceSample, opsCfg.TraceSlow, opsCfg.LogRate = *traceSample, *traceSlow, *logRate
+	ops, err := node.NewOps(opsCfg, tr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gs-server: %v\n", err)
 		return 1
-	}
-	// Structured logging: one recorder owns the per-component flight rings;
-	// scoped loggers thread through the delivery pipeline, core service,
-	// replica roles and the health engine, each behind a single nil/level
-	// check on the hot paths (docs/LOGGING.md).
-	rec := logging.NewRecorder(logging.Config{
-		Level:     logLvl,
-		RingSize:  *logRing,
-		Sink:      os.Stderr,
-		RateLimit: *logRate,
-	})
-	// Tracing: one collector feeds /traces and the gsalert_trace_* series;
-	// the tracer threads through the publish path, delivery pipeline and
-	// (on standbys) the replication apply loop.
-	var tracer *trace.Tracer
-	if *traceSample > 0 || *traceSlow > 0 {
-		tracer = trace.New(trace.Config{
-			Service:    *name,
-			SampleRate: *traceSample,
-			SlowRoot:   *traceSlow,
-			Collector:  trace.NewCollector(*traceCap),
-		})
-	}
-
-	pipeline, err := delivery.NewPipeline(delivery.Config{
-		Shards:        *dlvShards,
-		QueueDepth:    *dlvQueue,
-		Overflow:      overflow,
-		BatchSize:     *dlvBatch,
-		FlushInterval: *dlvFlush,
-		Dir:           *mailboxDir,
-		MailboxCap:    *mailboxCap,
-		ClassWeights:  weights,
-		Tracer:        tracer,
-		Log:           rec.For("delivery"),
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gs-server: delivery pipeline: %v\n", err)
-		return 1
-	}
-	defer func() { _ = pipeline.Close() }()
-	if *mailboxDir != "" {
-		if n := pipeline.Metrics().Recovered.Value(); n > 0 {
-			fmt.Printf("gs-server %s: recovered %d undelivered notifications from %s\n", *name, n, *mailboxDir)
-		}
 	}
 
 	var ctrl *qos.Controller
@@ -209,76 +143,61 @@ func run() int {
 			BulkDigestEvery: *qosBulkEvery,
 		})
 	}
-	gdsCli := gds.NewClient(*name, *addr, *gdsAddr, tr)
-	store := collection.NewStore(*name)
-	svc, err := core.New(core.Config{
-		ServerName:    *name,
-		ServerAddr:    *addr,
-		Transport:     tr,
-		GDS:           gdsCli,
-		Store:         store,
-		Delivery:      pipeline,
-		ContentWarmup: *warmup,
-		DedupCapacity: *dedupCap,
-		QoS:           ctrl,
-		Tracer:        tracer,
-		Log:           rec.For("core"),
+	// A standby (-replica-of) never registers and never advertises: the
+	// primary owns the server name until promotion. Promotion (via
+	// `gs-server -promote <addr>` or replica.Standby.Promote) registers and
+	// re-issues the inherited routing mode itself.
+	n, err := node.New(node.Config{
+		Core: core.Config{
+			ServerName: *name,
+			ServerAddr: *addr,
+			Transport:  tr,
+			DeliveryConfig: &delivery.Config{
+				Shards:        *dlvShards,
+				QueueDepth:    *dlvQueue,
+				Overflow:      overflow,
+				BatchSize:     *dlvBatch,
+				FlushInterval: *dlvFlush,
+				Dir:           *mailboxDir,
+				MailboxCap:    *mailboxCap,
+				ClassWeights:  weights,
+			},
+			ContentWarmup: *warmup,
+			DedupCapacity: *dedupCap,
+			QoS:           ctrl,
+			Tracer:        ops.Tracer,
+			Log:           ops.Log.For("core"),
+		},
+		GDSAddr:       *gdsAddr,
+		ReplicaListen: *replListen,
+		ReplicaOf:     *replicaOf,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gs-server: %v\n", err)
 		return 1
 	}
-	defer func() { _ = svc.Close() }()
+	defer func() { _ = n.Close() }()
+	svc := n.Service
+	if *mailboxDir != "" {
+		if r := svc.Delivery().Metrics().Recovered.Value(); r > 0 {
+			fmt.Printf("gs-server %s: recovered %d undelivered notifications from %s\n", *name, r, *mailboxDir)
+		}
+	}
 	// Composite profiles need the periodic tick for digest flushes and
 	// window garbage collection.
 	if err := svc.StartCompositeTicker(*compTick); err != nil {
 		fmt.Fprintf(os.Stderr, "gs-server: composite ticker: %v\n", err)
 		return 1
 	}
-	srv, err := greenstone.NewServer(greenstone.ServerConfig{
-		Name:      *name,
-		Addr:      *addr,
-		Transport: tr,
-		Store:     store,
-		Alerting:  svc,
-		Resolver:  gdsCli,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gs-server: %v\n", err)
-		return 1
-	}
-	defer func() { _ = srv.Close() }()
 
-	standby := *replicaOf != ""
-	// recv and gdsRegistered feed the /readyz checks below: a standby is
-	// ready when synced with a reachable primary (or promoted to serving);
-	// a serving server is ready once registered with the directory.
-	var recv *replica.Standby
-	var gdsRegistered atomicBool
+	standby := n.Standby != nil
 	if standby {
-		// A standby never registers and never advertises: the primary owns
-		// the server name until promotion. Promotion (via `gs-server
-		// -promote <addr>` or replica.Standby.Promote) registers and
-		// re-issues the inherited routing mode itself.
-		recv, err = replica.NewStandby(replica.StandbyConfig{
-			Service:     svc,
-			Transport:   tr,
-			ListenAddr:  *replListen,
-			PrimaryAddr: *replicaOf,
-			GDS:         gdsCli,
-			Tracer:      tracer,
-			Log:         rec.For("replica"),
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gs-server: standby: %v\n", err)
-			return 1
-		}
-		defer func() { _ = recv.Close() }()
 		// Join with retry (the primary may not be up yet), then heartbeat
 		// forever: a probe that finds the stream broken, the primary
 		// restarted, or positions diverged rejoins via snapshot resync.
 		// Without the loop a single stream break would silently freeze the
 		// standby until the operator noticed.
+		recv := n.Standby
 		go func() {
 			joined := false
 			for !recv.Promoted() {
@@ -304,12 +223,11 @@ func run() int {
 		}()
 	} else {
 		regCtx, regCancel := context.WithTimeout(ctx, 10*time.Second)
-		err = gdsCli.Register(regCtx)
+		err = n.Register(regCtx)
 		regCancel()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gs-server: GDS registration failed (continuing solitary): %v\n", err)
 		} else {
-			gdsRegistered.set(true)
 			fmt.Printf("gs-server %s registered with GDS at %s\n", *name, *gdsAddr)
 		}
 
@@ -328,174 +246,45 @@ func run() int {
 				fmt.Printf("gs-server %s disseminating via %s routing\n", *name, mode)
 			}
 		}
-
-		if *replListen != "" {
-			// Primary role: accept a standby and stream every state change
-			// to it (docs/REPLICATION.md).
-			prim, err := replica.NewPrimary(replica.PrimaryConfig{
-				Service:    svc,
-				Transport:  tr,
-				ListenAddr: *replListen,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gs-server: replication endpoint: %v\n", err)
-				return 1
-			}
-			defer func() { _ = prim.Close() }()
+		if n.Primary != nil {
 			fmt.Printf("gs-server %s accepting a standby at %s\n", *name, *replListen)
 		}
 	}
 
-	// Observability: one registry covers every subsystem; -metrics-addr and
-	// -stats-addr serve the same mux (Prometheus /metrics + JSON /stats), and
-	// -metrics-push-url starts the self-monitoring push exporter against the
-	// same registry.
-	reg := obs.NewRegistry()
-	obs.RegisterService(reg, svc.Stats)
-	obs.RegisterDelivery(reg, pipeline)
+	// Observability: one registry covers every subsystem, served (with the
+	// JSON /stats payload) at -metrics-addr and pushed to -metrics-push-url.
+	// The health plane evaluates its rules against the same registry and,
+	// with -health-alerts, publishes every state transition back into the
+	// pipeline as a health-alert event.
+	obs.RegisterService(ops.Registry, svc.Stats)
+	obs.RegisterDelivery(ops.Registry, svc.Delivery())
 	if ctrl != nil {
-		obs.RegisterQoS(reg, ctrl)
+		obs.RegisterQoS(ops.Registry, ctrl)
 	}
-	obs.RegisterHTTPTransport(reg, tr)
-	obs.RegisterGoRuntime(reg)
-	obs.RegisterLogging(reg, rec)
 	statsJSON := func() any {
 		return struct {
 			Service  core.ServiceStats
 			Delivery delivery.Snapshot
-		}{svc.Stats(), pipeline.Metrics().Snapshot()}
+		}{svc.Stats(), svc.Delivery().Metrics().Snapshot()}
 	}
-	// Flight recorder: post-mortem bundles snapshot the rings plus the
-	// /stats payload and (when tracing) the retained-trace index, so one
-	// capture joins all three pillars (docs/OBSERVABILITY.md).
-	fcfg := logging.FlightConfig{Recorder: rec, Dir: *flightDir, Stats: statsJSON}
-	var opts []obs.ServeOption
-	if tracer.Enabled() {
-		obs.RegisterTrace(reg, tracer.Collector())
-		opts = append(opts, obs.WithTraces(tracer.Collector()))
-		col := tracer.Collector()
-		fcfg.TraceIDs = func() []string {
-			traces := col.Traces(trace.Filter{})
-			ids := make([]string, 0, len(traces))
-			for _, t := range traces {
-				ids = append(ids, t.TraceID)
-			}
-			return ids
-		}
-	}
-	flight := logging.NewFlightRecorder(fcfg)
-	obs.RegisterFlight(reg, flight)
-	opts = append(opts, obs.WithFlightRecorder(flight))
-	if *pprofOn {
-		opts = append(opts, obs.WithPprof())
-	}
-
-	// Health plane: rules evaluated against this same registry at -health-tick
-	// cadence; /healthz + /readyz ride the ops mux, firing rules surface as
-	// ALERTS series, and (with -health-alerts) every state transition is
-	// published back into the pipeline as a health-alert event. Disabled, it
-	// adds zero series and zero publish-path work.
-	if *healthRules != "" {
-		*healthOn = true
-	}
-	if *healthOn {
-		rules := health.DefaultRules()
-		if *healthRules != "" {
-			raw, err := os.ReadFile(*healthRules)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gs-server: health rules: %v\n", err)
-				return 1
-			}
-			rules, err = health.ParseRules(string(raw))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gs-server: health rules: %v\n", err)
-				return 1
-			}
-		}
-		hopts := health.Options{Log: rec.For("health")}
-		hopts.OnTransition = func(tr health.Transition) {
-			if tr.To == health.Critical && *flightDir != "" {
-				// Post-mortem capture: snapshot the flight rings the moment
-				// a component turns critical, while the records that led
-				// here still sit in the rings (docs/LOGGING.md).
-				if path, err := flight.DumpToDir("critical:" + tr.Component); err != nil {
-					fmt.Fprintf(os.Stderr, "gs-server: flight dump: %v\n", err)
-				} else {
-					fmt.Printf("gs-server %s flight bundle captured: %s\n", *name, path)
-				}
-			}
-			if !*healthMeta {
-				return
-			}
-			a := core.HealthAlert{
-				Component: tr.Component,
-				From:      tr.From.String(),
-				To:        tr.To.String(),
-				Rule:      tr.Rule,
-				Severity:  tr.Severity,
-				Value:     tr.Value,
-				At:        tr.At,
-			}
-			if err := svc.PublishHealthAlert(context.Background(), a); err != nil {
-				fmt.Fprintf(os.Stderr, "gs-server: health alert publish: %v\n", err)
-			}
-		}
-		eng := health.NewEngine(reg, rules, hopts)
-		eng.Register(reg)
-		eng.AddReadiness("pipeline", func() error { return nil })
-		if *readyGDS {
-			eng.AddReadiness("gds-registered", func() error {
-				if standby && !recv.Promoted() {
-					// The primary owns the name while this end stands by.
-					return nil
-				}
-				if !gdsRegistered.get() && !(standby && recv.Promoted()) {
-					return errors.New("not registered with the GDS")
-				}
-				return nil
-			})
-		}
-		if standby && *readyRepl {
-			eng.AddReadiness("standby-caught-up", func() error {
-				if recv.Promoted() {
-					return nil // serving now; the gds check takes over
-				}
-				if !recv.Synced() {
-					return errors.New("standby has not applied a snapshot")
-				}
-				if err := recv.ProbeErr(); err != nil {
-					return fmt.Errorf("primary unreachable: %w", err)
-				}
-				return nil
-			})
-		}
-		eng.Start(*healthTick)
-		defer eng.Close()
-		opts = append(opts, health.Endpoints(eng))
-		fmt.Printf("gs-server %s health plane on (%d rules, tick %s)\n", *name, len(rules.Rules), *healthTick)
-	}
-	for _, opsAddr := range opsAddrs(*metricsAddr, *statsAddr) {
-		closeOps, err := obs.ServeOps(opsAddr, reg, statsJSON, opts...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gs-server: ops server: %v\n", err)
-			return 1
-		}
-		defer closeOps()
-		fmt.Printf("gs-server %s serving http://%s/metrics and http://%s/stats\n", *name, opsAddr, opsAddr)
-	}
-	if *pushURL != "" {
-		exp, err := obs.NewExporter(reg, obs.ExporterConfig{
-			URL:            *pushURL,
-			Interval:       *pushInterval,
-			MaxBytesPerSec: *pushMaxBps,
+	var onTransition func(health.Transition)
+	if *healthMeta {
+		onTransition = node.AlertOnTransition(svc, func(err error) {
+			fmt.Fprintf(os.Stderr, "gs-server: health alert publish: %v\n", err)
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gs-server: metrics exporter: %v\n", err)
-			return 1
-		}
-		defer exp.Close()
-		fmt.Printf("gs-server %s pushing metrics to %s every %s\n", *name, *pushURL, *pushInterval)
 	}
+	checks := []node.Check{{Name: "pipeline", Ready: func() error { return nil }}}
+	if *readyGDS {
+		checks = append(checks, node.Check{Name: "gds-registered", Ready: n.GDSRegistered})
+	}
+	if standby && *readyRepl {
+		checks = append(checks, node.Check{Name: "standby-caught-up", Ready: n.StandbyCaughtUp})
+	}
+	if err := ops.Start(statsJSON, onTransition, checks...); err != nil {
+		fmt.Fprintf(os.Stderr, "gs-server: %v\n", err)
+		return 1
+	}
+	defer ops.Close()
 
 	// The retry queue delivers deferred aux-profile traffic in the
 	// background (paper §7 reconnection semantics).
@@ -506,7 +295,7 @@ func run() int {
 	defer svc.Retry().Stop()
 
 	if *demo && !standby {
-		if err := runDemo(ctx, srv, *demoName, *subsFlag, *demoInterval); err != nil {
+		if err := runDemo(ctx, n.Server, *demoName, *subsFlag, *demoInterval); err != nil {
 			fmt.Fprintf(os.Stderr, "gs-server: demo: %v\n", err)
 			return 1
 		}
@@ -528,15 +317,15 @@ func run() int {
 	fmt.Println("gs-server: shutting down — draining deliveries and flushing spooled ops")
 	shCtx, shCancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer shCancel()
-	_ = srv.Close()
+	_ = n.Server.Close()
 	if !standby {
-		_ = gdsCli.Unregister(shCtx)
+		_ = n.GDS.Unregister(shCtx)
 	}
 	if err := svc.DrainDeliveries(shCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "gs-server: drain on shutdown: %v (undelivered alerts stay in their mailboxes)\n", err)
 	}
-	if n := svc.Retry().Flush(shCtx, true); n > 0 {
-		fmt.Printf("gs-server: flushed %d spooled server-to-server ops\n", n)
+	if flushed := svc.Retry().Flush(shCtx, true); flushed > 0 {
+		fmt.Printf("gs-server: flushed %d spooled server-to-server ops\n", flushed)
 	}
 	fmt.Println("gs-server: shutdown complete")
 	return 0
@@ -582,29 +371,6 @@ func runPromote(addr string) int {
 	}
 	fmt.Printf("standby at %s promoted\n", addr)
 	return 0
-}
-
-// opsAddrs deduplicates the two ops-endpoint flags: both -metrics-addr and
-// the older -stats-addr serve the identical mux, so pointing them at the
-// same address must not double-bind.
-func opsAddrs(addrs ...string) []string {
-	var out []string
-	for _, a := range addrs {
-		if a == "" {
-			continue
-		}
-		dup := false
-		for _, b := range out {
-			if a == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // runDemo creates the demo collection and starts the rebuild loop.
@@ -678,10 +444,3 @@ func demoDocs(host string, round int) []*collection.Document {
 	})
 	return docs
 }
-
-// atomicBool is a tiny flag shared between the GDS registration path and the
-// /readyz readiness checks.
-type atomicBool struct{ v atomic.Bool }
-
-func (b *atomicBool) set(ok bool) { b.v.Store(ok) }
-func (b *atomicBool) get() bool   { return b.v.Load() }

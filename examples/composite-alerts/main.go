@@ -18,7 +18,7 @@ import (
 	"github.com/gsalert/gsalert/internal/collection"
 	"github.com/gsalert/gsalert/internal/core"
 	"github.com/gsalert/gsalert/internal/gds"
-	"github.com/gsalert/gsalert/internal/greenstone"
+	"github.com/gsalert/gsalert/internal/node"
 	"github.com/gsalert/gsalert/internal/transport"
 )
 
@@ -36,37 +36,24 @@ func run() error {
 	tr := transport.NewHTTP()
 	defer func() { _ = tr.Close() }()
 
-	node, err := gds.NewNode("gds-root", "127.0.0.1:17101", 1, tr)
+	dir, err := gds.NewNode("gds-root", "127.0.0.1:17101", 1, tr)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = node.Close() }()
+	defer func() { _ = dir.Close() }()
 
-	const serverAddr = "127.0.0.1:18101"
-	gdsCli := gds.NewClient("Hamilton", serverAddr, node.Addr(), tr)
-	store := collection.NewStore("Hamilton")
-	svc, err := core.New(core.Config{
-		ServerName: "Hamilton",
-		ServerAddr: serverAddr,
-		Transport:  tr,
-		GDS:        gdsCli,
-		Store:      store,
+	hamilton, err := node.New(node.Config{
+		Core:    core.Config{ServerName: "Hamilton", ServerAddr: "127.0.0.1:18101", Transport: tr},
+		GDSAddr: dir.Addr(),
 	})
 	if err != nil {
 		return err
 	}
-	defer func() { _ = svc.Close() }()
-	srv, err := greenstone.NewServer(greenstone.ServerConfig{
-		Name: "Hamilton", Addr: serverAddr, Transport: tr,
-		Store: store, Alerting: svc, Resolver: gdsCli,
-	})
-	if err != nil {
+	defer func() { _ = hamilton.Close() }()
+	if err := hamilton.Register(ctx); err != nil {
 		return err
 	}
-	defer func() { _ = srv.Close() }()
-	if err := gdsCli.Register(ctx); err != nil {
-		return err
-	}
+	svc, srv := hamilton.Service, hamilton.Server
 
 	// alice's three temporal profiles. The windows are generous; the
 	// walkthrough advances the engine clock explicitly instead of waiting.

@@ -19,7 +19,7 @@ import (
 	"github.com/gsalert/gsalert/internal/collection"
 	"github.com/gsalert/gsalert/internal/core"
 	"github.com/gsalert/gsalert/internal/gds"
-	"github.com/gsalert/gsalert/internal/greenstone"
+	"github.com/gsalert/gsalert/internal/node"
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/transport"
 )
@@ -29,11 +29,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "content-routing: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-type node struct {
-	server  *greenstone.Server
-	service *core.Service
 }
 
 func run() error {
@@ -64,49 +59,41 @@ func run() error {
 
 	// 2. Three servers in content-routing mode: Hamilton and Berlin on
 	// leaf 1, London on leaf 2.
-	nodes := make(map[string]node, 3)
+	servers := make(map[string]*node.Node, 3)
 	for _, cfg := range []struct{ name, addr, gdsAddr string }{
 		{"Hamilton", "127.0.0.1:28001", leaves[0].Addr()},
 		{"Berlin", "127.0.0.1:28002", leaves[0].Addr()},
 		{"London", "127.0.0.1:28003", leaves[1].Addr()},
 	} {
-		gdsCli := gds.NewClient(cfg.name, cfg.addr, cfg.gdsAddr, tr)
-		store := collection.NewStore(cfg.name)
-		svc, err := core.New(core.Config{
-			ServerName: cfg.name, ServerAddr: cfg.addr, Transport: tr,
-			GDS: gdsCli, Store: store,
-			// The walkthrough publishes immediately after subscribing;
-			// skip the flood warm-up so the pruning is visible right away.
-			ContentWarmup: -1,
+		n, err := node.New(node.Config{
+			Core: core.Config{
+				ServerName: cfg.name, ServerAddr: cfg.addr, Transport: tr,
+				// The walkthrough publishes immediately after subscribing;
+				// skip the flood warm-up so the pruning is visible right away.
+				ContentWarmup: -1,
+			},
+			GDSAddr: cfg.gdsAddr,
 		})
 		if err != nil {
 			return err
 		}
-		defer func() { _ = svc.Close() }()
-		srv, err := greenstone.NewServer(greenstone.ServerConfig{
-			Name: cfg.name, Addr: cfg.addr, Transport: tr,
-			Store: store, Alerting: svc, Resolver: gdsCli,
-		})
-		if err != nil {
+		defer func() { _ = n.Close() }()
+		if err := n.Register(ctx); err != nil {
 			return err
 		}
-		defer func() { _ = srv.Close() }()
-		if err := gdsCli.Register(ctx); err != nil {
+		if err := n.Service.SetRoutingMode(ctx, core.RouteContent); err != nil {
 			return err
 		}
-		if err := svc.SetRoutingMode(ctx, core.RouteContent); err != nil {
-			return err
-		}
-		nodes[cfg.name] = node{server: srv, service: svc}
+		servers[cfg.name] = n
 	}
 
 	// 3. London wants only rebuild summaries of Hamilton.D; Berlin wants
 	// nothing (it advertised the empty digest when entering content mode).
 	notified := make(chan core.Notification, 16)
-	nodes["London"].service.RegisterNotifier("alice", core.NotifierFunc(func(n core.Notification) {
+	servers["London"].Service.RegisterNotifier("alice", core.NotifierFunc(func(n core.Notification) {
 		notified <- n
 	}))
-	if _, err := nodes["London"].service.Subscribe("alice", profile.MustParse(
+	if _, err := servers["London"].Service.Subscribe("alice", profile.MustParse(
 		`collection = "Hamilton.D" AND event.type = "collection-rebuilt"`)); err != nil {
 		return err
 	}
@@ -142,16 +129,16 @@ func run() error {
 			{ID: "d2", Content: "a steady document"},
 		}
 	}
-	if _, err := nodes["Hamilton"].server.AddCollection(ctx, collection.Config{Name: "D", Public: true}); err != nil {
+	if _, err := servers["Hamilton"].Server.AddCollection(ctx, collection.Config{Name: "D", Public: true}); err != nil {
 		return err
 	}
-	if _, _, err := nodes["Hamilton"].server.Build(ctx, "D", docs(0)); err != nil {
+	if _, _, err := servers["Hamilton"].Server.Build(ctx, "D", docs(0)); err != nil {
 		return err
 	}
-	if _, _, err := nodes["Hamilton"].server.Build(ctx, "D", docs(1)); err != nil {
+	if _, _, err := servers["Hamilton"].Server.Build(ctx, "D", docs(1)); err != nil {
 		return err
 	}
-	if err := nodes["Hamilton"].service.DrainDeliveries(ctx); err != nil {
+	if err := servers["Hamilton"].Service.DrainDeliveries(ctx); err != nil {
 		return err
 	}
 
@@ -165,10 +152,10 @@ func run() error {
 	// 6. What the directory pruned: Hamilton published three events, only
 	// the matching one reached London's server, none reached Berlin.
 	time.Sleep(200 * time.Millisecond) // let the last HTTP one-ways land
-	published := nodes["Hamilton"].service.Stats().EventsPublished
+	published := servers["Hamilton"].Service.Stats().EventsPublished
 	fmt.Printf("\nHamilton published %d events (built, rebuilt, documents-changed)\n", published)
 	for _, name := range []string{"London", "Berlin"} {
-		st := nodes[name].service.Stats()
+		st := servers[name].Service.Stats()
 		fmt.Printf("%-8s received %d event(s) from the directory\n", name, st.EventsReceived)
 	}
 	fmt.Println("\nthe rebuild summary descended only into London's subtree;")

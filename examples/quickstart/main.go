@@ -15,6 +15,7 @@ import (
 	"github.com/gsalert/gsalert/internal/core"
 	"github.com/gsalert/gsalert/internal/gds"
 	"github.com/gsalert/gsalert/internal/greenstone"
+	"github.com/gsalert/gsalert/internal/node"
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/transport"
 )
@@ -34,38 +35,27 @@ func run() error {
 	defer func() { _ = tr.Close() }()
 
 	// 1. A directory node (stratum 1 primary).
-	node, err := gds.NewNode("gds-root", "127.0.0.1:17001", 1, tr)
+	dir, err := gds.NewNode("gds-root", "127.0.0.1:17001", 1, tr)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = node.Close() }()
+	defer func() { _ = dir.Close() }()
 
 	// 2. A Greenstone server with alerting, registered at the directory.
 	const serverAddr = "127.0.0.1:18001"
-	gdsCli := gds.NewClient("Hamilton", serverAddr, node.Addr(), tr)
-	store := collection.NewStore("Hamilton")
-	svc, err := core.New(core.Config{
-		ServerName: "Hamilton",
-		ServerAddr: serverAddr,
-		Transport:  tr,
-		GDS:        gdsCli,
-		Store:      store,
+	hamilton, err := node.New(node.Config{
+		Core:    core.Config{ServerName: "Hamilton", ServerAddr: serverAddr, Transport: tr},
+		GDSAddr: dir.Addr(),
 	})
 	if err != nil {
 		return err
 	}
-	srv, err := greenstone.NewServer(greenstone.ServerConfig{
-		Name: "Hamilton", Addr: serverAddr, Transport: tr,
-		Store: store, Alerting: svc, Resolver: gdsCli,
-	})
-	if err != nil {
-		return err
-	}
-	defer func() { _ = srv.Close() }()
-	if err := gdsCli.Register(ctx); err != nil {
+	defer func() { _ = hamilton.Close() }()
+	if err := hamilton.Register(ctx); err != nil {
 		return err
 	}
 	fmt.Println("Hamilton registered with the GDS over HTTP")
+	svc, srv := hamilton.Service, hamilton.Server
 
 	// 3. alice subscribes to music documents in Hamilton.Recordings.
 	notifications := core.NewMemoryNotifier()

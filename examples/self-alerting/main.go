@@ -25,6 +25,7 @@ import (
 	"github.com/gsalert/gsalert/internal/collection"
 	"github.com/gsalert/gsalert/internal/core"
 	"github.com/gsalert/gsalert/internal/health"
+	"github.com/gsalert/gsalert/internal/node"
 	"github.com/gsalert/gsalert/internal/obs"
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/qos"
@@ -103,14 +104,9 @@ func run() error {
 		return err
 	}
 	eng := health.NewEngine(reg, rs, health.Options{
-		OnTransition: func(tr health.Transition) {
-			if err := svc.PublishHealthAlert(context.Background(), core.HealthAlert{
-				Component: tr.Component, From: tr.From.String(), To: tr.To.String(),
-				Rule: tr.Rule, Severity: tr.Severity, Value: tr.Value, At: tr.At,
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "self-alerting: publish meta-alert: %v\n", err)
-			}
-		},
+		OnTransition: node.AlertOnTransition(svc, func(err error) {
+			fmt.Fprintf(os.Stderr, "self-alerting: publish meta-alert: %v\n", err)
+		}),
 	})
 	defer eng.Close()
 	eng.Register(reg)

@@ -106,13 +106,8 @@ type Config struct {
 	Store *collection.Store
 	// Matcher is the filtering engine; defaults to equality-preferred.
 	Matcher filter.Matcher
-	// Delivery is the asynchronous notification pipeline. When nil the
-	// service builds its own pipeline — from DeliveryConfig when set,
-	// defaults otherwise — and closes it with the service; pass a
-	// pre-built pipeline to share or manage it externally.
-	Delivery *delivery.Pipeline
-	// DeliveryConfig configures the service-owned pipeline built when
-	// Delivery is nil; ignored otherwise.
+	// DeliveryConfig configures the asynchronous notification pipeline the
+	// service builds and closes with itself; nil selects the defaults.
 	DeliveryConfig *delivery.Config
 	// ContentWarmup is how long the service keeps flooding after switching
 	// to RouteContent, while digest advertisements populate the directory's
@@ -189,8 +184,7 @@ type Service struct {
 
 	// delivery decouples client notification from the match path; matched
 	// notifications are enqueued, never delivered synchronously.
-	delivery     *delivery.Pipeline
-	ownsDelivery bool
+	delivery *delivery.Pipeline
 
 	// routing selects broadcast (default), multicast or content
 	// dissemination; groupRefs/groupsByProfile track multicast membership
@@ -341,25 +335,21 @@ func New(cfg Config) (*Service, error) {
 	if s.resolver == nil && s.gdsCli != nil {
 		s.resolver = s.gdsCli
 	}
-	s.delivery = cfg.Delivery
-	if s.delivery == nil {
-		dcfg := delivery.Config{}
-		if cfg.DeliveryConfig != nil {
-			dcfg = *cfg.DeliveryConfig
-		}
-		if dcfg.Tracer == nil {
-			dcfg.Tracer = cfg.Tracer
-		}
-		if dcfg.Log == nil && cfg.Log != nil {
-			dcfg.Log = cfg.Log.Recorder().For("delivery")
-		}
-		p, err := delivery.NewPipeline(dcfg)
-		if err != nil {
-			return nil, err
-		}
-		s.delivery = p
-		s.ownsDelivery = true
+	dcfg := delivery.Config{}
+	if cfg.DeliveryConfig != nil {
+		dcfg = *cfg.DeliveryConfig
 	}
+	if dcfg.Tracer == nil {
+		dcfg.Tracer = cfg.Tracer
+	}
+	if dcfg.Log == nil && cfg.Log != nil {
+		dcfg.Log = cfg.Log.Recorder().For("delivery")
+	}
+	p, err := delivery.NewPipeline(dcfg)
+	if err != nil {
+		return nil, err
+	}
+	s.delivery = p
 	q, err := queue.New(s.sendQueued)
 	if err != nil {
 		return nil, err
@@ -368,16 +358,12 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Close stops the retry queue and, when the service built its own delivery
-// pipeline, flushes and closes it (compacting durable mailboxes). A pipeline
-// supplied via Config.Delivery belongs to the caller and is left running.
+// Close stops the retry queue, then flushes and closes the delivery
+// pipeline (compacting durable mailboxes).
 func (s *Service) Close() error {
 	s.stopCompositeTicker()
 	s.retry.Stop()
-	if s.ownsDelivery {
-		return s.delivery.Close()
-	}
-	return nil
+	return s.delivery.Close()
 }
 
 // Delivery exposes the notification pipeline (metrics, pending mailboxes).

@@ -130,8 +130,8 @@ func TracesHandler(col *trace.Collector) http.Handler {
 
 // ServeOps starts the operational HTTP endpoint of one server process on
 // addr: `/metrics` serves the registry's Prometheus exposition and, when
-// statsJSON is non-nil, `/stats` (and `/`, for back-compat with the
-// original -stats-addr endpoint) serves its value as indented JSON. Options
+// statsJSON is non-nil, `/stats` (and `/`, for clients of the original
+// JSON-only endpoint) serves its value as indented JSON. Options
 // add more endpoints (WithTraces, WithPprof). The returned func stops the
 // server.
 func ServeOps(addr string, reg *Registry, statsJSON func() any, opts ...ServeOption) (func(), error) {

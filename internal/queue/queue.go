@@ -38,6 +38,9 @@ type Item struct {
 	// flush order is FIFO even under a frozen deterministic clock (equal
 	// timestamps would otherwise sort unstably).
 	seq uint64
+	// inFlight claims the item for the one Flush sending it; concurrent
+	// Flushes skip it, so no item is ever sent twice at once.
+	inFlight bool
 }
 
 // Attempts reports how many sends have failed so far.
@@ -189,13 +192,17 @@ func (q *Queue) Stats() Stats {
 
 // Flush attempts delivery of every eligible item once, returning how many
 // succeeded. Items whose backoff window has not elapsed are skipped unless
-// force is set.
+// force is set. Each eligible item is claimed under the lock before it is
+// sent: a concurrent Flush skips claimed items (at-most-once per send), a
+// Remove or replacing Add during the send wins over its outcome, and a
+// failed send releases the claim with backoff.
 func (q *Queue) Flush(ctx context.Context, force bool) int {
 	now := q.now()
 	q.mu.Lock()
 	eligible := make([]*Item, 0, len(q.items))
 	for _, it := range q.items {
-		if force || !now.Before(it.nextAttempt) {
+		if !it.inFlight && (force || !now.Before(it.nextAttempt)) {
+			it.inFlight = true
 			eligible = append(eligible, it)
 		}
 	}
@@ -211,14 +218,16 @@ func (q *Queue) Flush(ctx context.Context, force bool) int {
 	q.mu.Unlock()
 
 	delivered := 0
-	for _, it := range eligible {
+	for i, it := range eligible {
 		if ctx.Err() != nil {
+			q.release(eligible[i:])
 			break
 		}
 		err := q.sender(ctx, it)
 		q.mu.Lock()
-		if _, still := q.items[it.ID]; !still {
-			// Removed concurrently (superseded); ignore the outcome.
+		it.inFlight = false
+		if q.items[it.ID] != it {
+			// Removed or replaced during the send; ignore the outcome.
 			q.mu.Unlock()
 			continue
 		}
@@ -238,6 +247,15 @@ func (q *Queue) Flush(ctx context.Context, force bool) int {
 		q.mu.Unlock()
 	}
 	return delivered
+}
+
+// release drops the claims on items a cancelled Flush never sent.
+func (q *Queue) release(items []*Item) {
+	q.mu.Lock()
+	for _, it := range items {
+		it.inFlight = false
+	}
+	q.mu.Unlock()
 }
 
 func minInt(a, b int) int {

@@ -11,8 +11,6 @@ import (
 	"github.com/gsalert/gsalert/internal/core"
 	"github.com/gsalert/gsalert/internal/delivery"
 	"github.com/gsalert/gsalert/internal/event"
-	"github.com/gsalert/gsalert/internal/gds"
-	"github.com/gsalert/gsalert/internal/greenstone"
 	"github.com/gsalert/gsalert/internal/health"
 	"github.com/gsalert/gsalert/internal/logging"
 	"github.com/gsalert/gsalert/internal/metrics"
@@ -251,8 +249,6 @@ func (r *soakRun) Heal(a, b string) error {
 	return nil
 }
 
-func replStandbyAddr(server string) string { return "repl://" + server + "b" }
-
 // SlowStandby implements chaos.Fabric: degrade the replication stream to
 // the server's standby.
 func (r *soakRun) SlowStandby(server string, drop float64, latency time.Duration) error {
@@ -260,7 +256,7 @@ func (r *soakRun) SlowStandby(server string, drop float64, latency time.Duration
 		return fmt.Errorf("sim: soak has no standby for %q", server)
 	}
 	r.c.Inject.AddRule(transport.FaultRule{
-		To: replStandbyAddr(server), DropRate: drop, ExtraLatency: latency,
+		To: StandbyReplicaAddr(server), DropRate: drop, ExtraLatency: latency,
 	})
 	return nil
 }
@@ -272,7 +268,7 @@ func (r *soakRun) HealStandby(ctx context.Context, server string) error {
 		return fmt.Errorf("sim: soak has no standby for %q", server)
 	}
 	r.c.Inject.RemoveRules(func(fr transport.FaultRule) bool {
-		return fr.To == replStandbyAddr(server)
+		return fr.To == StandbyReplicaAddr(server)
 	})
 	return r.recv.Heartbeat(ctx)
 }
@@ -455,17 +451,7 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*soakOutcome, e
 		flight = logging.NewFlightRecorder(logging.FlightConfig{
 			Recorder: rec,
 			Clock:    lclock,
-			TraceIDs: func() []string {
-				if tcol == nil {
-					return nil
-				}
-				traces := tcol.Traces(trace.Filter{})
-				ids := make([]string, 0, len(traces))
-				for _, t := range traces {
-					ids = append(ids, t.TraceID)
-				}
-				return ids
-			},
+			TraceIDs: tcol.TraceIDs,
 		})
 		coreLog = rec.For("core")
 		gdsLog := rec.For("gds")
@@ -572,64 +558,18 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*soakOutcome, e
 		return nil, err
 	}
 
-	// The replica pair for SoakReplServer, assembled as in E14 but over the
-	// cluster's injectable transport so schedule rules reach the stream.
-	standbyAddr := ServerAddr(SoakReplServer + "b")
-	sbCli := gds.NewClient(SoakReplServer, standbyAddr, c.NodeAddr(0), c.Net)
-	sbStore := collection.NewStore(SoakReplServer)
-	sbCfg := core.Config{
-		ServerName:    SoakReplServer,
-		ServerAddr:    standbyAddr,
-		Transport:     c.Net,
-		GDS:           sbCli,
-		Store:         sbStore,
-		ContentWarmup: -1,
-	}
-	quota(&sbCfg)
-	sbCfg.Tracer = newTracer(SoakReplServer + "b")
-	sbCfg.Log = coreLog
-	standby, err := core.New(sbCfg)
-	if err != nil {
-		return nil, err
-	}
-	defer standby.Close()
-	standby.SetQoS(newQoS())
-	sbSrv, err := greenstone.NewServer(greenstone.ServerConfig{
-		Name:      SoakReplServer,
-		Addr:      standbyAddr,
-		Transport: c.Net,
-		Store:     sbStore,
-		Alerting:  standby,
+	// The replica pair for SoakReplServer, assembled as in E14; the
+	// cluster's injectable transport lets schedule rules reach the stream.
+	sb, err := c.AddStandby(SoakReplServer, func(cc *core.Config) {
+		quota(cc)
+		cc.Tracer = newTracer(SoakReplServer + "b")
+		cc.Log = coreLog
+		cc.QoS = newQoS()
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer sbSrv.Close()
-	prim, err := replica.NewPrimary(replica.PrimaryConfig{
-		Service:    replSvc,
-		Transport:  c.Net,
-		ListenAddr: "repl://" + SoakReplServer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer prim.Close()
-	sbStandbyCfg := replica.StandbyConfig{
-		Service:     standby,
-		Transport:   c.Net,
-		ListenAddr:  replStandbyAddr(SoakReplServer),
-		PrimaryAddr: "repl://" + SoakReplServer,
-		GDS:         sbCli,
-		Tracer:      sbCfg.Tracer,
-	}
-	if rec != nil {
-		sbStandbyCfg.Log = rec.For("replica")
-	}
-	recv, err := replica.NewStandby(sbStandbyCfg)
-	if err != nil {
-		return nil, err
-	}
-	defer recv.Close()
+	standby, recv := sb.Service, sb.Standby
 	if err := recv.Join(ctx); err != nil {
 		return nil, err
 	}

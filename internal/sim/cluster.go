@@ -10,11 +10,10 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/gsalert/gsalert/internal/collection"
 	"github.com/gsalert/gsalert/internal/core"
-	"github.com/gsalert/gsalert/internal/filter"
 	"github.com/gsalert/gsalert/internal/gds"
 	"github.com/gsalert/gsalert/internal/greenstone"
+	"github.com/gsalert/gsalert/internal/node"
 	"github.com/gsalert/gsalert/internal/transport"
 )
 
@@ -42,9 +41,8 @@ type Cluster struct {
 	Net   transport.Transport
 	Nodes []*gds.Node
 
-	servers   map[string]*greenstone.Server
-	services  map[string]*core.Service
-	clients   map[string]*gds.Client
+	servers   map[string]*node.Node
+	standbys  []*node.Node
 	notifiers map[string]map[string]*core.MemoryNotifier // server -> client -> sink
 	nodeAddrs []string
 }
@@ -66,9 +64,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		TR:        tr,
 		Inject:    inj,
 		Net:       inj,
-		servers:   make(map[string]*greenstone.Server),
-		services:  make(map[string]*core.Service),
-		clients:   make(map[string]*gds.Client),
+		servers:   make(map[string]*node.Node),
 		notifiers: make(map[string]map[string]*core.MemoryNotifier),
 	}
 	ctx := context.Background()
@@ -105,11 +101,11 @@ func treeDepth(i, b int) int {
 
 // Close shuts down all components.
 func (c *Cluster) Close() {
-	for _, s := range c.servers {
-		_ = s.Close()
+	for _, n := range c.standbys {
+		_ = n.Close()
 	}
-	for _, svc := range c.services {
-		_ = svc.Close()
+	for _, n := range c.servers {
+		_ = n.Close()
 	}
 	for _, n := range c.Nodes {
 		_ = n.Close()
@@ -124,17 +120,12 @@ func (c *Cluster) Close() {
 // synchronisation experiments need before reading notification counts.
 func (c *Cluster) Settle(ctx context.Context) {
 	for _, name := range c.ServerNames() {
-		_ = c.services[name].DrainDeliveries(ctx)
+		_ = c.servers[name].Service.DrainDeliveries(ctx)
 	}
 }
 
 // ServerAddr is the canonical transport address of a named server.
 func ServerAddr(name string) string { return "gs://" + name }
-
-// NodeAddr is the transport address of the GDS node with index i (standby
-// construction in the replication experiments registers at the primary's
-// node).
-func (c *Cluster) NodeAddr(i int) string { return c.nodeAddrs[i] }
 
 // AddServer creates a Greenstone server with alerting, registered at the
 // GDS node with index nodeIdx (-1 picks round-robin by current count).
@@ -155,65 +146,95 @@ func (c *Cluster) AddServerWith(name string, nodeIdx int, mutate func(*core.Conf
 	if nodeIdx >= len(c.Nodes) {
 		return nil, fmt.Errorf("sim: node index %d out of range", nodeIdx)
 	}
-	addr := ServerAddr(name)
-	gdsCli := gds.NewClient(name, addr, c.nodeAddrs[nodeIdx], c.Net)
-	store := collection.NewStore(name)
-	cfg := core.Config{
-		ServerName: name,
-		ServerAddr: addr,
-		Transport:  c.Net,
-		GDS:        gdsCli,
-		Store:      store,
-		Matcher:    filter.NewEqualityPreferred(),
-		// The memory transport delivers synchronously, so content-routing
-		// tables are warm the moment an advertisement returns: no flood
-		// warm-up window needed.
-		ContentWarmup: -1,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	svc, err := core.New(cfg)
+	n, err := c.newNode(node.Config{
+		Core:    core.Config{ServerName: name, ServerAddr: ServerAddr(name)},
+		GDSAddr: c.nodeAddrs[nodeIdx],
+	}, mutate)
 	if err != nil {
 		return nil, err
 	}
-	srv, err := greenstone.NewServer(greenstone.ServerConfig{
-		Name:      name,
-		Addr:      addr,
-		Transport: c.Net,
-		Store:     store,
-		Alerting:  svc,
-		Resolver:  gdsCli,
-	})
-	if err != nil {
+	if err := n.Register(context.Background()); err != nil {
+		_ = n.Close()
 		return nil, err
 	}
-	if err := gdsCli.Register(context.Background()); err != nil {
-		_ = srv.Close()
-		return nil, err
-	}
-	c.servers[name] = srv
-	c.services[name] = svc
-	c.clients[name] = gdsCli
+	c.servers[name] = n
 	c.notifiers[name] = make(map[string]*core.MemoryNotifier)
-	return srv, nil
+	return n.Server, nil
+}
+
+// ReplicaAddr is the replication endpoint of a server's primary role.
+func ReplicaAddr(name string) string { return "repl://" + name }
+
+// StandbyReplicaAddr is the replication endpoint of a server's standby.
+func StandbyReplicaAddr(name string) string { return "repl://" + name + "b" }
+
+// AddStandby gives the named server a hot standby: the server starts
+// accepting a standby at ReplicaAddr(name), and a passive copy carrying the
+// same name — at ServerAddr(name+"b"), registered nowhere until promotion,
+// on the primary's directory node — waits for the stream at
+// StandbyReplicaAddr(name). mutate adjusts the standby's core
+// configuration. The caller joins it (Standby.Join) when the scenario
+// wants the snapshot taken; Close shuts it down with the cluster.
+func (c *Cluster) AddStandby(name string, mutate func(*core.Config)) (*node.Node, error) {
+	p := c.servers[name]
+	if p == nil {
+		return nil, fmt.Errorf("sim: unknown server %q", name)
+	}
+	if err := p.ServePrimary(ReplicaAddr(name)); err != nil {
+		return nil, err
+	}
+	sb, err := c.newNode(node.Config{
+		Core:          core.Config{ServerName: name, ServerAddr: ServerAddr(name + "b")},
+		GDSAddr:       p.GDS.NodeAddr(),
+		ReplicaListen: StandbyReplicaAddr(name),
+		ReplicaOf:     ReplicaAddr(name),
+	}, mutate)
+	if err != nil {
+		return nil, err
+	}
+	c.standbys = append(c.standbys, sb)
+	return sb, nil
+}
+
+// newNode assembles a server on the cluster transport; mutate adjusts its
+// core configuration.
+func (c *Cluster) newNode(cfg node.Config, mutate func(*core.Config)) (*node.Node, error) {
+	cfg.Core.Transport = c.Net
+	// The memory transport delivers synchronously, so content-routing
+	// tables are warm the moment an advertisement returns: no flood
+	// warm-up window needed.
+	cfg.Core.ContentWarmup = -1
+	if mutate != nil {
+		mutate(&cfg.Core)
+	}
+	return node.New(cfg)
 }
 
 // Resolve looks up a server name through another server's directory client
 // (the DNS-like naming service of paper §4.1).
 func (c *Cluster) Resolve(ctx context.Context, from, target string) (string, error) {
-	cli := c.clients[from]
-	if cli == nil {
+	n := c.servers[from]
+	if n == nil {
 		return "", fmt.Errorf("sim: unknown server %q", from)
 	}
-	return cli.Resolve(ctx, target)
+	return n.GDS.Resolve(ctx, target)
 }
 
-// Server returns a server by name.
-func (c *Cluster) Server(name string) *greenstone.Server { return c.servers[name] }
+// Server returns a server by name (nil when unknown).
+func (c *Cluster) Server(name string) *greenstone.Server {
+	if n := c.servers[name]; n != nil {
+		return n.Server
+	}
+	return nil
+}
 
-// Service returns a server's alerting service.
-func (c *Cluster) Service(name string) *core.Service { return c.services[name] }
+// Service returns a server's alerting service (nil when unknown).
+func (c *Cluster) Service(name string) *core.Service {
+	if n := c.servers[name]; n != nil {
+		return n.Service
+	}
+	return nil
+}
 
 // ServerNames lists servers in insertion-independent sorted order.
 func (c *Cluster) ServerNames() []string {
@@ -245,7 +266,7 @@ func (c *Cluster) Notifier(server, client string) *core.MemoryNotifier {
 	if !ok {
 		sink = core.NewMemoryNotifier()
 		sinks[client] = sink
-		if svc := c.services[server]; svc != nil {
+		if svc := c.Service(server); svc != nil {
 			svc.RegisterNotifier(client, sink)
 		}
 	}
@@ -268,7 +289,7 @@ func (c *Cluster) Notifications(server, client string) []core.Notification {
 func (c *Cluster) FlushRetries(ctx context.Context) int {
 	total := 0
 	for _, name := range c.ServerNames() {
-		total += c.services[name].Retry().Flush(ctx, true)
+		total += c.servers[name].Service.Retry().Flush(ctx, true)
 	}
 	return total
 }

@@ -11,14 +11,12 @@ import (
 
 	"github.com/gsalert/gsalert/internal/collection"
 	"github.com/gsalert/gsalert/internal/core"
-	"github.com/gsalert/gsalert/internal/gds"
-	"github.com/gsalert/gsalert/internal/greenstone"
 	"github.com/gsalert/gsalert/internal/health"
 	"github.com/gsalert/gsalert/internal/metrics"
+	"github.com/gsalert/gsalert/internal/node"
 	"github.com/gsalert/gsalert/internal/obs"
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/qos"
-	"github.com/gsalert/gsalert/internal/replica"
 )
 
 // E18 — the self-alerting health plane, dogfooded through the pipeline. A
@@ -158,20 +156,11 @@ func RunHealthMode(servers, rounds, eventsPerRound, burst int, mode core.Routing
 	obs.RegisterService(hreg, wsvc.Stats)
 	var publishErr error
 	heng := health.NewEngine(hreg, hrules, health.Options{
-		OnTransition: func(tr health.Transition) {
-			a := core.HealthAlert{
-				Component: tr.Component,
-				From:      tr.From.String(),
-				To:        tr.To.String(),
-				Rule:      tr.Rule,
-				Severity:  tr.Severity,
-				Value:     tr.Value,
-				At:        tr.At,
-			}
-			if err := wsvc.PublishHealthAlert(ctx, a); err != nil && publishErr == nil {
+		OnTransition: node.AlertOnTransition(wsvc, func(err error) {
+			if publishErr == nil {
 				publishErr = err
 			}
-		},
+		}),
 	})
 	hclock := time.Unix(1_700_000_000, 0)
 	tick := func() {
@@ -376,64 +365,15 @@ func RunHealthReadiness(seed int64) (*HealthReadinessResult, error) {
 		return nil, err
 	}
 
-	// The standby, joined over the cluster transport (E14's assembly).
-	standbyAddr := ServerAddr(primaryName + "b")
-	sbCli := gds.NewClient(primaryName, standbyAddr, c.NodeAddr(0), c.TR)
-	sbStore := collection.NewStore(primaryName)
-	standby, err := core.New(core.Config{
-		ServerName:    primaryName,
-		ServerAddr:    standbyAddr,
-		Transport:     c.TR,
-		GDS:           sbCli,
-		Store:         sbStore,
-		ContentWarmup: -1,
-	})
+	// The standby (E14's assembly), not yet joined, and its health engine:
+	// readiness gates on the catch-up state with gs-server's own check.
+	sb, err := c.AddStandby(primaryName, func(cc *core.Config) { cc.QoS = newQoS() })
 	if err != nil {
 		return nil, err
 	}
-	defer standby.Close()
-	standby.SetQoS(newQoS())
-	sbSrv, err := greenstone.NewServer(greenstone.ServerConfig{
-		Name: primaryName, Addr: standbyAddr, Transport: c.TR, Store: sbStore, Alerting: standby,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer sbSrv.Close()
-	prim, err := replica.NewPrimary(replica.PrimaryConfig{
-		Service: primary, Transport: c.TR, ListenAddr: "repl://" + primaryName,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer prim.Close()
-	recv, err := replica.NewStandby(replica.StandbyConfig{
-		Service:     standby,
-		Transport:   c.TR,
-		ListenAddr:  "repl://" + primaryName + "b",
-		PrimaryAddr: "repl://" + primaryName,
-		GDS:         sbCli,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer recv.Close()
-
-	// The standby-side health engine: readiness gates on the catch-up state
-	// exactly as cmd/gs-server wires it.
+	standby, recv := sb.Service, sb.Standby
 	heng := health.NewEngine(obs.NewRegistry(), nil, health.Options{})
-	heng.AddReadiness("standby-caught-up", func() error {
-		if recv.Promoted() {
-			return nil
-		}
-		if !recv.Synced() {
-			return fmt.Errorf("standby has not applied a snapshot")
-		}
-		if err := recv.ProbeErr(); err != nil {
-			return fmt.Errorf("primary unreachable: %w", err)
-		}
-		return nil
-	})
+	heng.AddReadiness("standby-caught-up", sb.StandbyCaughtUp)
 	readyz := health.ReadyzHandler(heng)
 	probe := func(stage string, out *HealthReadinessResult) {
 		rec := httptest.NewRecorder()
@@ -470,12 +410,12 @@ func RunHealthReadiness(seed int64) (*HealthReadinessResult, error) {
 	}
 
 	// Cut the replication link: the next heartbeat fails and /readyz flips.
-	c.TR.SetNodeDown("repl://"+primaryName, true)
+	c.TR.SetNodeDown(ReplicaAddr(primaryName), true)
 	_ = recv.Heartbeat(ctx)
 	probe("partitioned", out) // probe error → 503
 
 	// Heal: the heartbeat goes through again and /readyz recovers.
-	c.TR.SetNodeDown("repl://"+primaryName, false)
+	c.TR.SetNodeDown(ReplicaAddr(primaryName), false)
 	if err := recv.Heartbeat(ctx); err != nil {
 		return nil, err
 	}
@@ -483,7 +423,7 @@ func RunHealthReadiness(seed int64) (*HealthReadinessResult, error) {
 
 	// Kill + promote: readiness passes on the promotion flag.
 	c.TR.SetNodeDown(ServerAddr(primaryName), true)
-	c.TR.SetNodeDown("repl://"+primaryName, true)
+	c.TR.SetNodeDown(ReplicaAddr(primaryName), true)
 	if err := recv.Promote(ctx, 0); err != nil {
 		return nil, err
 	}

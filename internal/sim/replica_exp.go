@@ -8,8 +8,6 @@ import (
 
 	"github.com/gsalert/gsalert/internal/collection"
 	"github.com/gsalert/gsalert/internal/core"
-	"github.com/gsalert/gsalert/internal/gds"
-	"github.com/gsalert/gsalert/internal/greenstone"
 	"github.com/gsalert/gsalert/internal/metrics"
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/replica"
@@ -144,56 +142,15 @@ func runReplicaScenario(servers, rounds int, mode core.RoutingMode, seed int64, 
 	}
 
 	// The standby: the primary's name, its own address, registered nowhere
-	// until promotion. The first server added always lands on GDS node 0.
+	// until promotion.
 	var standby *core.Service
 	var recv *replica.Standby
 	if failover {
-		standbyAddr := ServerAddr(primaryName + "b")
-		sbCli := gds.NewClient(primaryName, standbyAddr, c.NodeAddr(0), c.TR)
-		sbStore := collection.NewStore(primaryName)
-		standby, err = core.New(core.Config{
-			ServerName:    primaryName,
-			ServerAddr:    standbyAddr,
-			Transport:     c.TR,
-			GDS:           sbCli,
-			Store:         sbStore,
-			ContentWarmup: -1,
-		})
+		sb, err := c.AddStandby(primaryName, nil)
 		if err != nil {
 			return nil, err
 		}
-		defer standby.Close()
-		sbSrv, err := greenstone.NewServer(greenstone.ServerConfig{
-			Name:      primaryName,
-			Addr:      standbyAddr,
-			Transport: c.TR,
-			Store:     sbStore,
-			Alerting:  standby,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer sbSrv.Close()
-		prim, err := replica.NewPrimary(replica.PrimaryConfig{
-			Service:    primary,
-			Transport:  c.TR,
-			ListenAddr: "repl://" + primaryName,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer prim.Close()
-		recv, err = replica.NewStandby(replica.StandbyConfig{
-			Service:     standby,
-			Transport:   c.TR,
-			ListenAddr:  "repl://" + primaryName + "b",
-			PrimaryAddr: "repl://" + primaryName,
-			GDS:         sbCli,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer recv.Close()
+		standby, recv = sb.Service, sb.Standby
 		if err := recv.Join(ctx); err != nil {
 			return nil, err
 		}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/gsalert/gsalert/internal/ring"
 )
 
 func testTracer(t *testing.T, rate float64, slow time.Duration, capacity int) *Tracer {
@@ -115,13 +117,13 @@ func TestTailRetainKeepsSlowRoots(t *testing.T) {
 }
 
 func TestCollectorDropOldest(t *testing.T) {
-	col := NewCollector(collectorShards) // one slot per shard
+	col := NewCollector(ring.Shards) // one slot per shard
 	tr := New(Config{SampleRate: 1, Seed: 3, Collector: col})
-	for i := 0; i < 4*collectorShards; i++ {
+	for i := 0; i < 4*ring.Shards; i++ {
 		s := tr.StartRoot(StagePublish)
 		s.Finish()
 	}
-	if got := col.SpansTotal(); got != 4*collectorShards {
+	if got := col.SpansTotal(); got != 4*ring.Shards {
 		t.Fatalf("SpansTotal = %d", got)
 	}
 	if occ := col.Occupancy(); occ > int64(col.Capacity()) {
